@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -135,8 +136,8 @@ Matrix Evaluator::GuidedMultiply(const ExprNode* node, const Matrix& a,
   DenseMatrix out =
       a.is_dense() && b.is_dense()
           ? MultiplyDenseDense(a.dense(), b.dense(), pool_)
-          : (a.is_dense() ? MultiplyDenseSparse(a.dense(), b.csr())
-                          : MultiplySparseDense(a.csr(), b.dense()));
+          : (a.is_dense() ? MultiplyDenseSparse(a.dense(), b.csr(), pool_)
+                          : MultiplySparseDense(a.csr(), b.dense(), pool_));
   if (est_sp >= dense_threshold) guided_stats_.dense_direct += 1;
   if (options_.plan_record) {
     ProductPlanEntry entry;
@@ -177,15 +178,46 @@ Matrix Evaluator::ReplayMultiply(const ExprNode* node, const Matrix& a,
   DenseMatrix out =
       a.is_dense() && b.is_dense()
           ? MultiplyDenseDense(a.dense(), b.dense(), pool_)
-          : (a.is_dense() ? MultiplyDenseSparse(a.dense(), b.csr())
-                          : MultiplySparseDense(a.csr(), b.dense()));
+          : (a.is_dense() ? MultiplyDenseSparse(a.dense(), b.csr(), pool_)
+                          : MultiplySparseDense(a.csr(), b.dense(), pool_));
   if (plan->dense_direct) guided_stats_.dense_direct += 1;
   return Matrix::AutoFromDenseEstimated(std::move(out), plan->est_sparsity);
+}
+
+std::unordered_map<const ExprNode*, int> Evaluator::CountUses(
+    const ExprNode* root) const {
+  std::unordered_map<const ExprNode*, int> uses;
+  std::unordered_set<const ExprNode*> visited;
+  std::vector<const ExprNode*> stack = {root};
+  while (!stack.empty()) {
+    const ExprNode* node = stack.back();
+    stack.pop_back();
+    if (node->is_leaf() || cache_.contains(node) ||
+        !visited.insert(node).second) {
+      continue;
+    }
+    for (const ExprNode* child : {node->left().get(), node->right().get()}) {
+      if (child == nullptr || child->is_leaf() || cache_.contains(child)) {
+        continue;
+      }
+      ++uses[child];
+      stack.push_back(child);
+    }
+  }
+  return uses;
 }
 
 Matrix Evaluator::Evaluate(const ExprPtr& root) {
   MNC_CHECK(root != nullptr);
   pinned_roots_.push_back(root);
+  // Consumer edges still to run per intermediate this call computes; the
+  // root and anything cached before the call have no entry and are kept.
+  std::unordered_map<const ExprNode*, int> uses = CountUses(root.get());
+  // Drops `child` from the cache once its last consumer has run.
+  auto release = [&](const ExprNode* child) {
+    auto it = uses.find(child);
+    if (it != uses.end() && --it->second == 0) cache_.erase(child);
+  };
   // Iterative post-order to keep deep chains off the call stack.
   std::vector<const ExprNode*> stack = {root.get()};
   while (!stack.empty()) {
@@ -220,12 +252,20 @@ Matrix Evaluator::Evaluate(const ExprPtr& root) {
         // only when the estimate is wrong about the dense threshold).
         // Replay mode (plan_lookup) re-dispatches from recorded decisions
         // without any sketch.
-        result = options_.guided
-                     ? GuidedMultiply(node, a, cache_.at(right),
-                                      SketchFor(left), SketchFor(right))
-                     : (options_.plan_lookup
-                            ? ReplayMultiply(node, a, cache_.at(right))
-                            : Multiply(a, cache_.at(right), pool_));
+        if (options_.guided) {
+          result = GuidedMultiply(node, a, cache_.at(right), SketchFor(left),
+                                  SketchFor(right));
+        } else if (options_.plan_lookup) {
+          result = ReplayMultiply(node, a, cache_.at(right));
+        } else if (left != right && uses.contains(left) &&
+                   uses.at(left) == 1) {
+          // This product is the left operand's last consumer: hand it over,
+          // so a dense x sparse product may overwrite it in place.
+          Matrix owned = std::move(cache_.extract(left).mapped());
+          result = Multiply(std::move(owned), cache_.at(right), pool_);
+        } else {
+          result = Multiply(a, cache_.at(right), pool_);
+        }
         break;
       case OpKind::kEWiseAdd:
         result = Add(a, cache_.at(right));
@@ -281,6 +321,8 @@ Matrix Evaluator::Evaluate(const ExprPtr& root) {
     }
     cache_.emplace(node, std::move(result));
     if (options_.guided) SketchFor(node);
+    release(left);
+    if (right != nullptr) release(right);
     stack.pop_back();
   }
   return cache_.at(root.get());

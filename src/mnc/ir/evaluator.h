@@ -102,16 +102,25 @@ struct EvaluatorOptions {
 
 class Evaluator {
  public:
-  // pool (optional, not owned) parallelizes dense matrix products.
+  // pool (optional, not owned) parallelizes matrix products: blind ones
+  // through Multiply's work threshold (see ops_product.h), guided ones as
+  // GuidedMultiply dispatches them.
   explicit Evaluator(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   // Guided construction; see EvaluatorOptions.
   Evaluator(ThreadPool* pool, EvaluatorOptions options)
       : pool_(pool), options_(std::move(options)) {}
 
-  // Evaluates the DAG rooted at `root`. Results of shared subexpressions are
-  // cached for the lifetime of the Evaluator, so evaluating several related
-  // roots (e.g., all intermediates of a chain) reuses work.
+  // Evaluates the DAG rooted at `root`. Cache lifetime:
+  //   - Within one call, a shared subexpression is computed once.
+  //   - An intermediate the call computes is dropped once its last consumer
+  //     in the call has run. A blind dense x sparse product that is the
+  //     last consumer of its dense left operand may overwrite that operand
+  //     in place (Multiply's consuming form), when no one else holds it.
+  //   - Every evaluated root, and every leaf, stays cached for the lifetime
+  //     of the Evaluator and is never overwritten. Evaluating related roots
+  //     in order (e.g., a chain's prefixes, shortest first) reuses work; an
+  //     intermediate of an earlier call that was not its root is recomputed.
   Matrix Evaluate(const ExprPtr& root);
 
   // Recoverable boundary for untrusted DAGs: validates the root and every
@@ -144,6 +153,11 @@ class Evaluator {
   }
 
  private:
+  // Consumer edges, per internal node below `root` that is not cached yet,
+  // from the nodes an Evaluate(root) call will compute.
+  std::unordered_map<const ExprNode*, int> CountUses(
+      const ExprNode* root) const;
+
   // Sketch of a leaf/internal node, memoized in sketches_. Children's
   // sketches must already be present for internal nodes.
   const MncSketch& SketchFor(const ExprNode* node);

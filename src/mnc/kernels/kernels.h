@@ -150,11 +150,12 @@ class ScopedForceKernels {
 
 // --- Gustavson SpGEMM row kernels (dispatch-invariant scalar) -------------
 //
-// Shared by the sequential and parallel SpGEMM, the symbolic count pass and
-// ProductNnzExact. `acc` (dense accumulator) and `seen` (occupancy map) obey
-// the clean-buffer idiom: all-zero on entry, and the gather/reset step
-// re-zeroes exactly the touched entries before returning — which is what
-// makes them safe to reuse across rows, blocks and ScratchArena leases.
+// Shared by every SpGEMM kernel (sequential, parallel and guided), the
+// symbolic count pass and ProductNnzExact. `acc` (dense accumulator) and
+// `seen` (occupancy map) obey the clean-buffer idiom: all-zero on entry,
+// and the gather/reset step re-zeroes the touched entries before returning
+// — which is what makes them safe to reuse across rows, blocks and
+// ScratchArena leases.
 
 // Scatters one A-row term: acc[j] += av * b_val[t] over B's row pattern,
 // recording first touches in seen/occupied.
@@ -183,13 +184,44 @@ inline void SpGemmSymbolicRow(const int64_t* b_idx, int64_t nb, char* seen,
   }
 }
 
-// Sorts the occupied columns, gathers non-cancelled entries (value != 0.0)
-// into out_idx/out_val, and resets the touched acc/seen entries. Returns the
-// number of entries written (<= occupied.size()). Clears `occupied`.
-inline int64_t SpGemmGatherRow(std::vector<int64_t>& occupied, double* acc,
-                               char* seen, int64_t* out_idx, double* out_val) {
-  std::sort(occupied.begin(), occupied.end());
+// The gather switch rule: a row touching at least 1/16 of the `cols`
+// accumulator columns is written by one linear sweep over [0, cols), which
+// then costs less than sorting its occupied list.
+inline bool SpGemmGatherSweeps(int64_t occupied, int64_t cols) {
+  return occupied * 16 >= cols;
+}
+
+// Gathers the row's non-cancelled entries (value != 0.0) into
+// out_idx/out_val in ascending column order — by a sweep over the
+// accumulator columns or by sorting `occupied`, per SpGemmGatherSweeps; both
+// write the same entries — and resets the touched acc/seen entries. Returns
+// the number of entries written (<= occupied.size()). Clears `occupied`.
+// out_idx/out_val must hold occupied.size() entries: the sweep stores each
+// column at the next free slot before deciding whether to keep it, which
+// keeps its loop free of data-dependent branches.
+inline int64_t SpGemmGatherRow(std::vector<int64_t>& occupied, int64_t cols,
+                               double* acc, char* seen, int64_t* out_idx,
+                               double* out_val) {
   int64_t written = 0;
+  const int64_t total = static_cast<int64_t>(occupied.size());
+  if (SpGemmGatherSweeps(total, cols)) {
+    // Only touched columns hold non-zero accumulators (clean-buffer
+    // invariant), so testing the value selects exactly the entries the
+    // sort path keeps. The sweep stops after the last touched column.
+    int64_t visited = 0;
+    for (int64_t j = 0; visited < total; ++j) {
+      const double v = acc[static_cast<size_t>(j)];
+      out_idx[written] = j;
+      out_val[written] = v;
+      written += v != 0.0 ? 1 : 0;
+      visited += seen[static_cast<size_t>(j)];
+      acc[static_cast<size_t>(j)] = 0.0;
+      seen[static_cast<size_t>(j)] = 0;
+    }
+    occupied.clear();
+    return written;
+  }
+  std::sort(occupied.begin(), occupied.end());
   for (int64_t j : occupied) {
     const double v = acc[static_cast<size_t>(j)];
     if (v != 0.0) {

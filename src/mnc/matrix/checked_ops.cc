@@ -26,12 +26,12 @@ Status CheckSameShape(const char* op, const Matrix& a, const Matrix& b) {
 }  // namespace
 
 StatusOr<Matrix> TryMultiply(const Matrix& a, const Matrix& b,
-                             ThreadPool* pool, int64_t expected_nnz) {
+                             ThreadPool* pool) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("MatMul: inner dimensions disagree (" +
                                    ShapeStr(a) + " vs " + ShapeStr(b) + ")");
   }
-  return Multiply(a, b, pool, expected_nnz);
+  return Multiply(a, b, pool);
 }
 
 StatusOr<Matrix> TryAdd(const Matrix& a, const Matrix& b) {

@@ -17,12 +17,8 @@
 
 namespace mnc {
 
-// expected_nnz (optional, e.g. an MNC product estimate) is forwarded to
-// Multiply as its sparse-output pre-allocation hint; it never changes the
-// result.
 StatusOr<Matrix> TryMultiply(const Matrix& a, const Matrix& b,
-                             ThreadPool* pool = nullptr,
-                             int64_t expected_nnz = -1);
+                             ThreadPool* pool = nullptr);
 StatusOr<Matrix> TryAdd(const Matrix& a, const Matrix& b);
 StatusOr<Matrix> TryMultiplyEWise(const Matrix& a, const Matrix& b);
 StatusOr<Matrix> TryMinEWise(const Matrix& a, const Matrix& b);

@@ -1,12 +1,14 @@
 #include "mnc/matrix/matrix.h"
 
+#include <atomic>
+
 #include "mnc/util/crc32.h"
 
 namespace mnc {
 
 Matrix Matrix::Dense(DenseMatrix dense) {
   Matrix m;
-  m.dense_ = std::make_shared<const DenseMatrix>(std::move(dense));
+  m.dense_ = std::make_shared<DenseMatrix>(std::move(dense));
   return m;
 }
 
@@ -57,6 +59,16 @@ const DenseMatrix& Matrix::dense() const {
 const CsrMatrix& Matrix::csr() const {
   MNC_CHECK_MSG(csr_ != nullptr, "matrix is stored dense");
   return *csr_;
+}
+
+std::optional<DenseMatrix> Matrix::ReleaseDense() && {
+  if (dense_ == nullptr || dense_.use_count() != 1) return std::nullopt;
+  // Pairs with the release of the last other owner's reference count
+  // decrement, so its reads of the storage happen before the moves below.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  std::optional<DenseMatrix> out(std::move(*dense_));
+  dense_.reset();
+  return out;
 }
 
 CsrMatrix Matrix::AsCsr() const {

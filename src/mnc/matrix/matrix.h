@@ -4,13 +4,15 @@
 // immutable storage, mirroring how ML systems (SystemML, Julia, MLlib)
 // dispatch between dense and sparse physical operators. The dispatch
 // threshold follows footnote 3 of the paper: dense layout is used only when
-// sparsity >= 0.4.
+// sparsity >= 0.4. The one exception to immutability is ReleaseDense: the
+// sole owner of dense storage may take it back for reuse.
 
 #ifndef MNC_MATRIX_MATRIX_H_
 #define MNC_MATRIX_MATRIX_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "mnc/matrix/csr_matrix.h"
 #include "mnc/matrix/dense_matrix.h"
@@ -55,6 +57,12 @@ class Matrix {
   const DenseMatrix& dense() const;
   const CsrMatrix& csr() const;
 
+  // Moves the dense storage out when this Matrix is its only owner, leaving
+  // *this empty (only destruction or assignment may follow). Returns
+  // nullopt and leaves *this unchanged when the matrix is stored sparse or
+  // another Matrix shares the storage.
+  std::optional<DenseMatrix> ReleaseDense() &&;
+
   // Format conversions (copying when the format differs).
   CsrMatrix AsCsr() const;
   DenseMatrix AsDense() const;
@@ -75,7 +83,9 @@ class Matrix {
  private:
   Matrix() = default;
 
-  std::shared_ptr<const DenseMatrix> dense_;
+  // Non-const pointee so that ReleaseDense may move from it; every other
+  // access is through const.
+  std::shared_ptr<DenseMatrix> dense_;
   std::shared_ptr<const CsrMatrix> csr_;
 };
 

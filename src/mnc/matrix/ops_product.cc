@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,8 +12,7 @@
 
 namespace mnc {
 
-CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
-                               int64_t expected_nnz) {
+CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b) {
   MNC_CHECK_EQ(a.cols(), b.rows());
   const int64_t m = a.rows();
   const int64_t l = b.cols();
@@ -19,14 +20,9 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
   std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
   std::vector<int64_t> col_idx;
   std::vector<double> values;
-  if (expected_nnz > 0) {
-    const int64_t cap = std::min(expected_nnz, m * l);
-    col_idx.reserve(static_cast<size_t>(cap));
-    values.reserve(static_cast<size_t>(cap));
-  }
 
   // Gustavson: per output row, scatter-accumulate into a dense accumulator
-  // with an occupancy list, then gather in sorted column order. Scratch
+  // with an occupancy list, then gather in ascending column order. Scratch
   // comes from the pooled arena (clean-buffer invariant: the gather re-zeroes
   // exactly the touched entries).
   ScratchPool::Lease lease = ScratchPool::Global().Acquire();
@@ -50,7 +46,7 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
     col_idx.resize(base + occupied.size());
     values.resize(base + occupied.size());
     const int64_t written = kernels::SpGemmGatherRow(
-        occupied, acc, seen, col_idx.data() + base, values.data() + base);
+        occupied, l, acc, seen, col_idx.data() + base, values.data() + base);
     col_idx.resize(base + static_cast<size_t>(written));
     values.resize(base + static_cast<size_t>(written));
     row_ptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(col_idx.size());
@@ -60,6 +56,19 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
 }
 
 namespace {
+
+// Runs fn over contiguous ranges of [0, rows): split across the pool when
+// one is given (a few ranges per thread, so skewed rows still balance),
+// else in one call. Callers write disjoint output rows, so the split never
+// changes a value.
+void ForRowRanges(ThreadPool* pool, int64_t rows,
+                  const std::function<void(int64_t, int64_t)>& fn) {
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->ParallelFor(0, rows, /*grain=*/1, fn);
+  } else {
+    fn(0, rows);
+  }
+}
 
 // Symbolic pass shared by the parallel SpGEMM and the parallel exact nnz:
 // fills row_nnz[i] with the number of non-zero columns reachable in output
@@ -130,7 +139,7 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
   std::vector<int64_t> row_nnz(static_cast<size_t>(m), 0);
 
   // Pass 2 (fill): each block scatters into a thread-local accumulator and
-  // gathers sorted entries into its rows' disjoint slices — identical
+  // gathers ascending entries into its rows' disjoint slices — identical
   // per-row arithmetic to the sequential kernel.
   ParallelForBlocks(pool, config, m,
                     [&](int64_t /*block*/, int64_t lo, int64_t hi) {
@@ -154,7 +163,7 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
       }
       const int64_t base = scan[static_cast<size_t>(i)];
       row_nnz[static_cast<size_t>(i)] = kernels::SpGemmGatherRow(
-          occupied, acc, seen, col_idx.data() + base, values.data() + base);
+          occupied, l, acc, seen, col_idx.data() + base, values.data() + base);
     }
   });
 
@@ -190,8 +199,7 @@ DenseMatrix MultiplyDenseDense(const DenseMatrix& a, const DenseMatrix& b,
   const int64_t n = a.cols();
   const int64_t l = b.cols();
   DenseMatrix c(m, l);
-
-  auto compute_rows = [&](int64_t begin, int64_t end) {
+  ForRowRanges(pool, m, [&](int64_t begin, int64_t end) {
     // i-k-j loop order: streams over B rows, vectorizes the inner j loop.
     for (int64_t i = begin; i < end; ++i) {
       double* ci = c.row(i);
@@ -205,55 +213,73 @@ DenseMatrix MultiplyDenseDense(const DenseMatrix& a, const DenseMatrix& b,
         }
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, compute_rows);
-  } else {
-    compute_rows(0, m);
-  }
+  });
   return c;
 }
 
-DenseMatrix MultiplySparseDense(const CsrMatrix& a, const DenseMatrix& b) {
-  MNC_CHECK_EQ(a.cols(), b.rows());
-  const int64_t m = a.rows();
-  const int64_t l = b.cols();
-  DenseMatrix c(m, l);
-  for (int64_t i = 0; i < m; ++i) {
-    double* ci = c.row(i);
-    const auto a_idx = a.RowIndices(i);
-    const auto a_val = a.RowValues(i);
-    for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-      const double av = a_val[ka];
-      const double* bk = b.row(a_idx[ka]);
-      for (int64_t j = 0; j < l; ++j) {
-        ci[j] += av * bk[j];
-      }
+namespace {
+
+// ci += sum over k ascending of ai[k] * B_k, skipping zero ai[k]: one output
+// row of dense x sparse, shared by the in-place and out-of-place kernels.
+void DenseSparseRow(const double* ai, const CsrMatrix& b, double* ci) {
+  for (int64_t k = 0; k < b.rows(); ++k) {
+    const double av = ai[k];
+    if (av == 0.0) continue;
+    const auto b_idx = b.RowIndices(k);
+    const auto b_val = b.RowValues(k);
+    for (size_t kb = 0; kb < b_idx.size(); ++kb) {
+      ci[b_idx[kb]] += av * b_val[kb];
     }
   }
+}
+
+}  // namespace
+
+DenseMatrix MultiplySparseDense(const CsrMatrix& a, const DenseMatrix& b,
+                                ThreadPool* pool) {
+  MNC_CHECK_EQ(a.cols(), b.rows());
+  const int64_t l = b.cols();
+  DenseMatrix c(a.rows(), l);
+  ForRowRanges(pool, a.rows(), [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      double* ci = c.row(i);
+      const auto a_idx = a.RowIndices(i);
+      const auto a_val = a.RowValues(i);
+      for (size_t ka = 0; ka < a_idx.size(); ++ka) {
+        const double av = a_val[ka];
+        const double* bk = b.row(a_idx[ka]);
+        for (int64_t j = 0; j < l; ++j) {
+          ci[j] += av * bk[j];
+        }
+      }
+    }
+  });
   return c;
 }
 
-DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b) {
+DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b,
+                                ThreadPool* pool) {
   MNC_CHECK_EQ(a.cols(), b.rows());
-  const int64_t m = a.rows();
+  DenseMatrix c(a.rows(), b.cols());
+  ForRowRanges(pool, a.rows(), [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) DenseSparseRow(a.row(i), b, c.row(i));
+  });
+  return c;
+}
+
+void MultiplyDenseSparseInPlace(DenseMatrix& a, const CsrMatrix& b,
+                                ThreadPool* pool) {
+  MNC_CHECK_EQ(a.cols(), b.rows());
+  MNC_CHECK_EQ(b.rows(), b.cols());
   const int64_t n = a.cols();
-  const int64_t l = b.cols();
-  DenseMatrix c(m, l);
-  for (int64_t i = 0; i < m; ++i) {
-    double* ci = c.row(i);
-    const double* ai = a.row(i);
-    for (int64_t k = 0; k < n; ++k) {
-      const double av = ai[k];
-      if (av == 0.0) continue;
-      const auto b_idx = b.RowIndices(k);
-      const auto b_val = b.RowValues(k);
-      for (size_t kb = 0; kb < b_idx.size(); ++kb) {
-        ci[b_idx[kb]] += av * b_val[kb];
-      }
+  ForRowRanges(pool, a.rows(), [&](int64_t begin, int64_t end) {
+    std::vector<double> stage(static_cast<size_t>(n));
+    for (int64_t i = begin; i < end; ++i) {
+      std::fill(stage.begin(), stage.end(), 0.0);
+      DenseSparseRow(a.row(i), b, stage.data());
+      std::copy(stage.begin(), stage.end(), a.row(i));
     }
-  }
-  return c;
+  });
 }
 
 void GuidedExecStats::MergeFrom(const GuidedExecStats& other) {
@@ -408,7 +434,7 @@ CsrMatrix MultiplySparseSparseGuided(
         }
         col_idx.resize(base + occupied.size());
         values.resize(base + occupied.size());
-        written = kernels::SpGemmGatherRow(occupied, acc, seen,
+        written = kernels::SpGemmGatherRow(occupied, l, acc, seen,
                                            col_idx.data() + base,
                                            values.data() + base);
       }
@@ -499,7 +525,8 @@ CsrMatrix MultiplySparseSparseGuided(
           break;
         }
         row_nnz[static_cast<size_t>(i)] = kernels::SpGemmGatherRow(
-            occupied, acc, seen, col_idx.data() + base, values.data() + base);
+            occupied, l, acc, seen, col_idx.data() + base,
+            values.data() + base);
       }
     }
     merge_rows.fetch_add(block_merge, std::memory_order_relaxed);
@@ -554,7 +581,7 @@ DenseMatrix MultiplySparseSparseDense(const CsrMatrix& a, const CsrMatrix& b,
   const int64_t m = a.rows();
   const int64_t l = b.cols();
   DenseMatrix c(m, l);
-  auto compute_rows = [&](int64_t begin, int64_t end) {
+  ForRowRanges(pool, m, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       double* ci = c.row(i);
       const auto a_idx = a.RowIndices(i);
@@ -568,38 +595,82 @@ DenseMatrix MultiplySparseSparseDense(const CsrMatrix& a, const CsrMatrix& b,
         }
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, compute_rows);
-  } else {
-    compute_rows(0, m);
-  }
+  });
   return c;
 }
 
-Matrix Multiply(const Matrix& a, const Matrix& b, ThreadPool* pool,
-                int64_t expected_nnz) {
+namespace {
+
+// Multiply-adds of the kernel Multiply runs for a x b: exact for sparse x
+// sparse (sum over A's entries of the matching B row's population), and for
+// the products with a dense operand the count when that operand holds no
+// zeros — nnz x cols for sparse x dense, rows x nnz for dense x sparse.
+// Kept in double: a dense x dense count need not fit in int64.
+double ProductWork(const Matrix& a, const Matrix& b) {
+  if (!a.is_dense() && !b.is_dense()) {
+    int64_t flops = 0;
+    for (int64_t k : a.csr().col_idx()) flops += b.csr().RowNnz(k);
+    return static_cast<double>(flops);
+  }
+  if (!a.is_dense()) {
+    return static_cast<double>(a.NumNonZeros()) * static_cast<double>(b.cols());
+  }
+  if (!b.is_dense()) {
+    return static_cast<double>(a.rows()) * static_cast<double>(b.NumNonZeros());
+  }
+  return static_cast<double>(a.rows()) * static_cast<double>(a.cols()) *
+         static_cast<double>(b.cols());
+}
+
+// The pool Multiply hands its kernel: nullptr (sequential) below
+// kParallelProductFlops, where a pool round trip costs more than the split
+// saves.
+ThreadPool* ProductPool(const Matrix& a, const Matrix& b, ThreadPool* pool) {
+  if (pool == nullptr || pool->num_threads() <= 1) return nullptr;
+  return ProductWork(a, b) >= static_cast<double>(kParallelProductFlops)
+             ? pool
+             : nullptr;
+}
+
+}  // namespace
+
+Matrix Multiply(const Matrix& a, const Matrix& b, ThreadPool* pool) {
   MNC_CHECK_EQ(a.cols(), b.rows());
+  pool = ProductPool(a, b, pool);
   if (a.is_dense() && b.is_dense()) {
     return Matrix::AutoFromDense(MultiplyDenseDense(a.dense(), b.dense(), pool));
   }
   if (!a.is_dense() && !b.is_dense()) {
-    if (pool != nullptr && pool->num_threads() > 1) {
-      // The parallel kernel is bit-identical to the sequential one, so the
-      // dispatch may use it whenever a pool is offered. It sizes the output
-      // exactly (two passes), so the pre-allocation hint has no use here.
-      ParallelConfig config;
-      config.num_threads = pool->num_threads();
-      return Matrix::AutoFromCsr(
-          MultiplySparseSparse(a.csr(), b.csr(), config, pool));
+    if (pool == nullptr) {
+      return Matrix::AutoFromCsr(MultiplySparseSparse(a.csr(), b.csr()));
     }
+    // Output rows are independent (a grain-invariant stage), so the blocks
+    // are sized from the pool — a few per thread — rather than fixed; a
+    // loaded machine profile still decides through ForStage.
+    const int64_t tasks = 4 * static_cast<int64_t>(pool->num_threads());
+    ParallelConfig config;
+    config.num_threads = pool->num_threads();
+    config.min_rows_per_task =
+        std::max<int64_t>(1, (a.rows() + tasks - 1) / tasks);
     return Matrix::AutoFromCsr(
-        MultiplySparseSparse(a.csr(), b.csr(), expected_nnz));
+        MultiplySparseSparse(a.csr(), b.csr(), config, pool));
   }
   if (!a.is_dense()) {
-    return Matrix::AutoFromDense(MultiplySparseDense(a.csr(), b.dense()));
+    return Matrix::AutoFromDense(MultiplySparseDense(a.csr(), b.dense(), pool));
   }
-  return Matrix::AutoFromDense(MultiplyDenseSparse(a.dense(), b.csr()));
+  return Matrix::AutoFromDense(MultiplyDenseSparse(a.dense(), b.csr(), pool));
+}
+
+Matrix Multiply(Matrix&& a, const Matrix& b, ThreadPool* pool) {
+  if (a.is_dense() && !b.is_dense() && a.cols() == b.rows() &&
+      b.rows() == b.cols()) {
+    ThreadPool* product_pool = ProductPool(a, b, pool);
+    if (std::optional<DenseMatrix> owned = std::move(a).ReleaseDense()) {
+      MultiplyDenseSparseInPlace(*owned, b.csr(), product_pool);
+      return Matrix::AutoFromDense(std::move(*owned));
+    }
+  }
+  return Multiply(std::as_const(a), b, pool);
 }
 
 int64_t ProductNnzExact(const CsrMatrix& a, const CsrMatrix& b) {

@@ -1,7 +1,7 @@
-// Matrix-product kernels: sparse (Gustavson SpGEMM), dense (blocked GEMM),
-// mixed, and the format-dispatching Multiply() entry point that provides the
-// FP64 ground truth for the benchmark (§6.1: "we execute FP64 matrix
-// operations with internal dispatch of dense and sparse operations").
+// Matrix-product kernels: sparse (Gustavson SpGEMM), dense (row-wise i-k-j
+// GEMM), mixed, and the format-dispatching Multiply() entry point that
+// provides the FP64 ground truth for the benchmark (§6.1: "we execute FP64
+// matrix operations with internal dispatch of dense and sparse operations").
 
 #ifndef MNC_MATRIX_OPS_PRODUCT_H_
 #define MNC_MATRIX_OPS_PRODUCT_H_
@@ -14,19 +14,23 @@
 
 namespace mnc {
 
+// Work, in multiply-adds, from which Multiply runs a product on the pool it
+// is given; below it the product stays on the calling thread and pays no
+// pool round trip. Measured on a 4-core x86 host with three callers sharing
+// one 4-thread pool (the serving shape): the pool wins for sparse x sparse
+// from about 1e4 flops and for sparse x dense only from about 1e6, and the
+// exec benchmark's chains ran within noise of each other at 2^12 and 2^17.
+inline constexpr int64_t kParallelProductFlops = int64_t{1} << 17;
+
 // C = A B with both inputs sparse (row-wise Gustavson algorithm).
-// expected_nnz (optional, e.g. from an MNC estimate) preallocates the
-// output arrays — the "memory preallocation" use of sparsity estimates the
-// paper's introduction motivates. The result is identical either way.
-CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
-                               int64_t expected_nnz = -1);
+CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b);
 
 // Parallel two-pass Gustavson SpGEMM behind the ParallelConfig knob: a
 // symbolic pass counts each output row's non-zeros, an exclusive scan over
 // the counts builds row_ptr, and a fill pass writes every row block into its
-// disjoint output slice. Each row accumulates in the same scatter/sort
-// order as the sequential kernel, so the result equals MultiplySparseSparse
-// bit-for-bit at any thread count.
+// disjoint output slice. Each row accumulates and gathers exactly as in the
+// sequential kernel, so the result equals MultiplySparseSparse bit-for-bit
+// at any thread count and block size.
 CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
                                const ParallelConfig& config, ThreadPool* pool);
 
@@ -35,11 +39,21 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
 DenseMatrix MultiplyDenseDense(const DenseMatrix& a, const DenseMatrix& b,
                                ThreadPool* pool = nullptr);
 
-// C = A B with sparse A, dense B (dense output).
-DenseMatrix MultiplySparseDense(const CsrMatrix& a, const DenseMatrix& b);
+// C = A B with sparse A, dense B (dense output). If pool is non-null, rows
+// of C are computed in parallel (same values).
+DenseMatrix MultiplySparseDense(const CsrMatrix& a, const DenseMatrix& b,
+                                ThreadPool* pool = nullptr);
 
-// C = A B with dense A, sparse B (dense output).
-DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b);
+// C = A B with dense A, sparse B (dense output). If pool is non-null, rows
+// of C are computed in parallel (same values).
+DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b,
+                                ThreadPool* pool = nullptr);
+
+// A = A B for dense A and square sparse B: each row of A is computed into
+// one row of staging and copied back over itself. Bit-identical to
+// MultiplyDenseSparse(a, b, pool), without a second rows x cols buffer.
+void MultiplyDenseSparseInPlace(DenseMatrix& a, const CsrMatrix& b,
+                                ThreadPool* pool = nullptr);
 
 // ---- Sketch-guided execution --------------------------------------------
 //
@@ -120,12 +134,20 @@ DenseMatrix MultiplySparseSparseDense(const CsrMatrix& a, const CsrMatrix& b,
 
 // Format-dispatching product; the output format is chosen from the actual
 // output sparsity (AutoFrom*). Aborts if inner dimensions disagree.
-// expected_nnz (optional, e.g. an MNC product estimate) is forwarded to the
-// sequential sparse-sparse kernel as its pre-allocation hint; the parallel
-// two-pass kernel sizes exactly and ignores it, and dense outputs have no
-// use for it. The result is identical either way.
-Matrix Multiply(const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr,
-                int64_t expected_nnz = -1);
+// The product runs on `pool` when its work reaches kParallelProductFlops —
+// the exact flop count for sparse x sparse, nnz x cols for sparse x dense,
+// rows x nnz for dense x sparse, rows x inner x cols for dense x dense —
+// and sequentially otherwise. Sparse x sparse on the
+// pool cuts A into a few row blocks per thread, and a loaded machine
+// profile (ParallelConfig::ForStage) can still send it back to one thread.
+// Every choice computes the same values in the same stored format.
+Matrix Multiply(const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr);
+
+// Consuming form: when `a` is dense, `b` sparse and square, and `a` is the
+// only owner of its storage, the product is written over that storage
+// (MultiplyDenseSparseInPlace) instead of a new buffer. Otherwise it is
+// Multiply(a, b, pool) and `a` is left as it was. Same result either way.
+Matrix Multiply(Matrix&& a, const Matrix& b, ThreadPool* pool = nullptr);
 
 // Exact number of non-zeros of A B without materializing values — a boolean
 // ("pattern") SpGEMM. Used by tests as an independent ground-truth check.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "mnc/matrix/io.h"
 #include "mnc/util/stopwatch.h"
@@ -152,7 +153,8 @@ CommandOutcome RunServeCommand(EstimationService& service,
     }
     const int64_t dedup_before = service.stats().register_dedup_hits;
     Stopwatch watch;
-    const auto leaf = service.RegisterMatrix(name, Matrix::AutoFromCsr(*m));
+    const auto leaf =
+        service.RegisterMatrix(name, Matrix::AutoFromCsr(std::move(*m)));
     if (!leaf.ok()) {
       out.status = leaf.status();
       return out;
@@ -248,12 +250,17 @@ CommandOutcome RunServeCommand(EstimationService& service,
       return out;
     }
     out.served_by = "exec";
+    // One count serves both figures: a dense result's NumNonZeros() scans
+    // every cell, and Sparsity() would scan them again.
+    const int64_t nnz = result->NumNonZeros();
+    const double cells = static_cast<double>(result->rows()) *
+                         static_cast<double>(result->cols());
     out.body = Format(
         "executed: %lld x %lld output, %lld non-zeros, sparsity %.6g, %s, "
         "%.3f ms",
         static_cast<long long>(result->rows()),
-        static_cast<long long>(result->cols()),
-        static_cast<long long>(result->NumNonZeros()), result->Sparsity(),
+        static_cast<long long>(result->cols()), static_cast<long long>(nnz),
+        cells > 0.0 ? static_cast<double>(nnz) / cells : 0.0,
         result->is_dense() ? "dense" : "sparse", ms);
     return out;
   }

@@ -55,7 +55,7 @@ TEST(ScratchArenaTest, SpGemmRowKernelsRestoreCleanBuffers) {
   std::vector<int64_t> out_idx(occupied.size());
   std::vector<double> out_val(occupied.size());
   const int64_t written = kernels::SpGemmGatherRow(
-      occupied, acc, seen, out_idx.data(), out_val.data());
+      occupied, 32, acc, seen, out_idx.data(), out_val.data());
 
   // 6 distinct columns touched, all with non-zero accumulated values.
   EXPECT_EQ(6, written);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "mnc/core/mnc_sketch.h"
@@ -10,6 +11,7 @@
 #include "mnc/matrix/ops_product.h"
 #include "mnc/matrix/ops_reorg.h"
 #include "mnc/util/random.h"
+#include "mnc/util/thread_pool.h"
 
 namespace mnc {
 namespace {
@@ -255,6 +257,135 @@ TEST(EvaluatorTest, ReshapeAndDiag) {
   Matrix result = eval.Evaluate(reshaped);
   EXPECT_TRUE(result.AsCsr().Equals(
       ReshapeSparse(DiagVectorToMatrix(v), 27, 3)));
+}
+
+// Same stored format and bit-identical contents.
+bool BitIdentical(const Matrix& x, const Matrix& y) {
+  if (x.is_dense() != y.is_dense() || x.rows() != y.rows() ||
+      x.cols() != y.cols()) {
+    return false;
+  }
+  if (x.is_dense()) {
+    return std::memcmp(x.dense().data(), y.dense().data(),
+                       static_cast<size_t>(x.dense().size()) *
+                           sizeof(double)) == 0;
+  }
+  const CsrMatrix& cx = x.csr();
+  const CsrMatrix& cy = y.csr();
+  return cx.row_ptr() == cy.row_ptr() && cx.col_idx() == cy.col_idx() &&
+         std::memcmp(cx.values().data(), cy.values().data(),
+                     cx.values().size() * sizeof(double)) == 0;
+}
+
+// Operands of a dense chain: X = S1 S2 comes out dense (300 x 256), and
+// S3..S5 are square sparse, so X S3 S4 S5 runs dense x sparse products above
+// kParallelProductFlops, each the last consumer of its dense left operand.
+struct DenseChainOperands {
+  Matrix s1, s2, s3, s4, s5;
+};
+
+DenseChainOperands MakeDenseChain(uint64_t seed) {
+  Rng rng(seed);
+  return {Matrix::Sparse(GenerateUniformSparse(300, 100, 0.2, rng)),
+          Matrix::Sparse(GenerateUniformSparse(100, 256, 0.2, rng)),
+          Matrix::Sparse(GenerateUniformSparse(256, 256, 0.01, rng)),
+          Matrix::Sparse(GenerateUniformSparse(256, 256, 0.01, rng)),
+          Matrix::Sparse(GenerateUniformSparse(256, 256, 0.01, rng))};
+}
+
+TEST(EvaluatorTest, InPlaceDenseChainMatchesOutOfPlace) {
+  const DenseChainOperands op = MakeDenseChain(40);
+  // Out of place: every Multiply below takes its operands as lvalues.
+  const Matrix x = Multiply(op.s1, op.s2);
+  ASSERT_TRUE(x.is_dense());
+  const Matrix xs3 = Multiply(x, op.s3);
+  const Matrix xs4 = Multiply(xs3, op.s4);
+  const Matrix expected = Multiply(xs4, op.s5);
+  ASSERT_TRUE(expected.is_dense());
+
+  ExprPtr chain = ExprNode::MatMul(ExprNode::Leaf(op.s1),
+                                   ExprNode::Leaf(op.s2));
+  for (const Matrix* s : {&op.s3, &op.s4, &op.s5}) {
+    chain = ExprNode::MatMul(chain, ExprNode::Leaf(*s));
+  }
+  Evaluator sequential;
+  EXPECT_TRUE(BitIdentical(expected, sequential.Evaluate(chain)));
+  for (int threads : {2, 4, 7}) {
+    ThreadPool pool(threads);
+    Evaluator pooled(&pool);
+    EXPECT_TRUE(BitIdentical(expected, pooled.Evaluate(chain)))
+        << "threads=" << threads;
+  }
+}
+
+TEST(EvaluatorTest, DenseLeafIsNeverOverwritten) {
+  const DenseChainOperands op = MakeDenseChain(41);
+  const Matrix d = Multiply(op.s1, op.s2);
+  ASSERT_TRUE(d.is_dense());
+  const DenseMatrix before = d.dense();
+  ThreadPool pool(4);
+  Evaluator eval(&pool);
+  const Matrix got = eval.Evaluate(
+      ExprNode::MatMul(ExprNode::Leaf(d), ExprNode::Leaf(op.s3)));
+  EXPECT_TRUE(BitIdentical(Multiply(d, op.s3), got));
+  EXPECT_TRUE(BitIdentical(Matrix::Dense(before), d));
+}
+
+TEST(EvaluatorTest, DenseIntermediateWithTwoConsumersIsNotOverwritten) {
+  const DenseChainOperands op = MakeDenseChain(42);
+  const Matrix x = Multiply(op.s1, op.s2);
+  ASSERT_TRUE(x.is_dense());
+  const ExprPtr lx = ExprNode::MatMul(ExprNode::Leaf(op.s1),
+                                      ExprNode::Leaf(op.s2));
+  const ExprPtr l3 = ExprNode::Leaf(op.s3);
+  const ExprPtr l4 = ExprNode::Leaf(op.s4);
+  // Two products consume X: the first to run must leave X intact for the
+  // second.
+  const ExprPtr both_products = ExprNode::EWiseAdd(ExprNode::MatMul(lx, l3),
+                                                   ExprNode::MatMul(lx, l4));
+  // A product and an addition consume X: the product runs first and is not
+  // X's last consumer.
+  const ExprPtr product_and_add =
+      ExprNode::EWiseAdd(ExprNode::MatMul(lx, l3), lx);
+  const Matrix expected_products =
+      Add(Multiply(x, op.s3), Multiply(x, op.s4));
+  const Matrix expected_add = Add(Multiply(x, op.s3), x);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    Evaluator products(&pool);
+    EXPECT_TRUE(
+        BitIdentical(expected_products, products.Evaluate(both_products)))
+        << "threads=" << threads;
+    Evaluator add(&pool);
+    EXPECT_TRUE(BitIdentical(expected_add, add.Evaluate(product_and_add)))
+        << "threads=" << threads;
+  }
+}
+
+TEST(EvaluatorTest, EarlierDenseRootIsNotOverwrittenByALaterRoot) {
+  const DenseChainOperands op = MakeDenseChain(43);
+  const ExprPtr x = ExprNode::MatMul(ExprNode::Leaf(op.s1),
+                                     ExprNode::Leaf(op.s2));
+  const ExprPtr xs3 = ExprNode::MatMul(x, ExprNode::Leaf(op.s3));
+  const Matrix expected_x = Multiply(op.s1, op.s2);
+  ASSERT_TRUE(expected_x.is_dense());
+  const Matrix expected_xs3 = Multiply(expected_x, op.s3);
+  ThreadPool pool(4);
+
+  // The caller keeps its copy of the first root.
+  Evaluator eval(&pool);
+  const Matrix first = eval.Evaluate(x);
+  EXPECT_TRUE(BitIdentical(expected_xs3, eval.Evaluate(xs3)));
+  EXPECT_TRUE(BitIdentical(expected_x, first));
+
+  // The caller dropped its copy: the cached root is still neither consumed
+  // nor recomputed — the same storage comes back, with the same values.
+  Evaluator dropped(&pool);
+  const void* storage = dropped.Evaluate(x).storage_key();
+  EXPECT_TRUE(BitIdentical(expected_xs3, dropped.Evaluate(xs3)));
+  const Matrix again = dropped.Evaluate(x);
+  EXPECT_EQ(storage, again.storage_key());
+  EXPECT_TRUE(BitIdentical(expected_x, again));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -605,22 +606,34 @@ TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
   ASSERT_TRUE(memo_ba.ok() && memo_ba->ok());
 
   constexpr int kRequests = 8;
+  // Replies are matched to requests by the echoed request id: a burst the
+  // IO thread reads in two sweeps becomes two batches, and the worker pool
+  // may finish them in either order.
+  std::map<uint64_t, const std::string*> want_by_id;
   for (int i = 0; i < kRequests; ++i) {
+    uint64_t id = 0;
     ASSERT_TRUE(
-        client.Send(i % 2 == 0 ? "estimate A %*% B" : "estimate B %*% A")
+        client.Send(i % 2 == 0 ? "estimate A %*% B" : "estimate B %*% A",
+                    /*deadline_ms=*/0, &id)
             .ok());
+    want_by_id[id] = i % 2 == 0 ? &memo_ab->body : &memo_ba->body;
   }
+  ASSERT_EQ(want_by_id.size(), static_cast<size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     auto r = client.Receive(/*timeout_ms=*/10'000);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->ok()) << r->status.ToString();
     EXPECT_EQ(r->served_by, "memo");
+    const auto want = want_by_id.find(r->request_id);
+    ASSERT_NE(want, want_by_id.end())
+        << "reply to an unknown or already answered request "
+        << r->request_id;
     // Identical to the single-path reply, wall-clock timing suffix aside.
-    const auto& want = i % 2 == 0 ? memo_ab : memo_ba;
     const std::string got_body = r->body.substr(0, r->body.find_last_of(','));
     const std::string want_body =
-        want->body.substr(0, want->body.find_last_of(','));
+        want->second->substr(0, want->second->find_last_of(','));
     EXPECT_EQ(got_body, want_body);
+    want_by_id.erase(want);
   }
 
   const ServerStats stats = server_->stats();

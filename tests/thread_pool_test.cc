@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -27,6 +29,31 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   for (const auto& t : touched) {
     EXPECT_EQ(t.load(), 1);
   }
+}
+
+TEST(ThreadPoolTest, ParallelForRunsChunksConcurrently) {
+  // Every chunk checks in, then waits (bounded) until all four have. A pool
+  // that ran its chunks one after another would leave each early chunk
+  // waiting alone until the bound expires. No timing threshold: this holds
+  // even when every thread shares one CPU. bench/par_scaling takes its
+  // speedup floor from the concurrency this pool delivers, so a pool that
+  // serialized its chunks would otherwise lower its own floor unnoticed.
+  constexpr int kChunks = 4;
+  ThreadPool pool(kChunks);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  int saw_all = 0;
+  pool.ParallelFor(kChunks, [&](int64_t, int64_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return arrived == kChunks; })) {
+      ++saw_all;
+    }
+  });
+  EXPECT_EQ(saw_all, kChunks);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {

@@ -1,13 +1,14 @@
 // Fault-tolerant concurrent serving tier: a framed TCP socket server over a
 // shared EstimationService.
 //
-// Architecture (see DESIGN.md, "Serving tier"):
+// Architecture (see DESIGN.md, "Serving tier"): every admitted request
+// takes one path.
 //
 //   accept/IO thread (poll)          worker pool (ThreadPool)
 //   ------------------------         -------------------------
 //   accept connections          -->  RunServeCommand(service, cmd, ctx)
-//   read bytes -> FrameReader        bounded by admission control
-//   admission check                  deadline via RequestContext
+//   read bytes -> FrameReader        one task per request
+//   admission check, deadline        deadline via RequestContext
 //   dispatch requests           <--  enqueue reply into conn outbox,
 //   write outboxes (POLLOUT)         wake the IO thread via pipe
 //   idle/slow-client timeouts
@@ -25,21 +26,19 @@
 //     immediately with RESOURCE_EXHAUSTED ("server busy") instead of
 //     queueing without bound. `max_connections` bounds the connection count
 //     the same way: accepts beyond it get a typed error frame and close.
-//   - Cross-request batching: concurrent `estimate` requests arriving
-//     within `batch_window_us` coalesce into one EstimateSourceBatch pass
-//     on the worker pool (identical texts computed once); replies fan back
-//     out per connection, and per-request semantics — typed errors,
-//     deadlines, cancellation on connection close, degraded flags — hold
-//     inside a batch exactly as outside it (see DESIGN.md,
-//     "Cross-request batching").
-//   - Backpressure: a connection with `max_pipeline` requests in flight OR
-//     more than `max_outbox_bytes` of unflushed reply bytes stops being read
-//     (its socket is dropped from the poll set) until replies drain, so one
-//     pipelining client — or one streaming pings without ever reading
-//     replies — cannot monopolize the admission budget or buffer memory.
+//   - Backpressure: a connection admits at most `max_pipeline` requests at
+//     a time; frames past that bound stay unparsed in its FrameReader, even
+//     when one read brought them all, and are taken as replies free slots.
+//     A connection at the bound OR with more than `max_outbox_bytes` of
+//     unflushed reply bytes stops being read (its socket is dropped from the
+//     poll set) until replies drain, so one pipelining client — or one
+//     streaming pings without ever reading replies — cannot monopolize the
+//     admission budget or buffer memory.
 //   - Deadlines: a request's deadline_ms (or the server default) becomes a
-//     RequestContext checked cooperatively inside the estimation paths;
-//     expiry yields a typed DEADLINE_EXCEEDED error, never a late answer.
+//     RequestContext at admission, so time spent queued for a worker counts
+//     against it; the context is checked cooperatively inside the estimation
+//     paths, and expiry yields a typed DEADLINE_EXCEEDED error, never a late
+//     answer.
 //   - Degradation: when PR-1 fail points (or real faults) break the MNC
 //     tier underneath a request, the reply is served by the fallback chain
 //     and carries the serving tier + degraded flag (kFrameFlagDegraded).
@@ -57,7 +56,6 @@
 #define MNC_SERVE_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -65,7 +63,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "mnc/serve/command.h"
 #include "mnc/serve/frame.h"
@@ -84,7 +81,8 @@ struct ServerOptions {
   int num_workers = 4;
   // Admission bound: requests executing or queued across all connections.
   int max_inflight = 64;
-  // Per-connection pipeline bound before reads are suspended.
+  // Per-connection bound on admitted requests whose reply is not yet
+  // enqueued; further frames wait unparsed and reads are suspended.
   int max_pipeline = 8;
   // Per-connection bound on buffered reply bytes before reads are suspended.
   // Catches traffic the pipeline counter does not (pings, typed protocol
@@ -98,17 +96,6 @@ struct ServerOptions {
   // Default per-request deadline when the request frame carries none;
   // 0 = unbounded.
   int64_t default_deadline_ms = 0;
-  // Cross-request batching: concurrent `estimate` requests arriving within
-  // this coalescing window are collected into one EstimateSourceBatch pass
-  // (one thread-pool dispatch, one memo traversal for shared subtrees,
-  // identical texts computed once) with replies fanned back per connection;
-  // 0 disables (every request dispatches individually). The window is an
-  // upper bound on added latency: a batch flushes as soon as a poll sweep
-  // brings no new request, so a lone closed-loop client is not delayed.
-  int64_t batch_window_us = 200;
-  // Most requests one batch may carry before it flushes regardless of the
-  // window.
-  int max_batch = 16;
   // Connection-count bound: accepts beyond it are rejected with a typed
   // RESOURCE_EXHAUSTED error frame and closed. <= 0 = unlimited.
   int max_connections = 0;
@@ -137,8 +124,6 @@ struct ServerStats {
                                  // by the outbox byte bound
   int64_t open_connections = 0;  // connections currently open
   int64_t conn_rejected = 0;     // accepts refused by max_connections
-  int64_t batches = 0;           // coalesced estimate batches dispatched
-  int64_t batched_requests = 0;  // requests served through those batches
 };
 
 class Server {
@@ -174,34 +159,22 @@ class Server {
  private:
   struct Connection;
 
-  // One admitted request waiting in the IO thread's coalescing buffer.
-  struct PendingRequest {
-    std::shared_ptr<Connection> conn;
-    uint64_t request_id = 0;
-    std::string expr;    // batchable estimate expression text
-    RequestContext ctx;  // built at admission; points at conn's cancel token
-  };
-
   void IoLoop();
   // Deadline/cancellation bound for a request on `conn` (header deadline,
   // server default, serve.deadline fail point).
   RequestContext MakeRequestContext(const std::shared_ptr<Connection>& conn,
                                     uint32_t deadline_ms) const;
-  void DispatchRequest(const std::shared_ptr<Connection>& conn, Frame request);
-  // Encodes `out` into the reply/error frame for `request_id`, updates
-  // stats, and enqueues it on `conn`; returns whether the command asked to
-  // end the session.
-  bool FinishRequest(const std::shared_ptr<Connection>& conn,
-                     uint64_t request_id, const CommandOutcome& out);
-  // Runs a coalesced batch on a worker and fans replies back out.
-  void DispatchBatch(std::vector<PendingRequest> batch);
-  // Submits the pending coalescing buffer to the worker pool (IO thread).
-  void FlushBatch();
+  // Runs one admitted request on a worker and enqueues its reply; `ctx` was
+  // built at admission.
+  void DispatchRequest(const std::shared_ptr<Connection>& conn, Frame request,
+                       const RequestContext& ctx);
   void SendFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
   void Wake();
   // IO-thread helpers.
   void AcceptNew();
   bool ReadConnection(const std::shared_ptr<Connection>& conn);   // false: close
+  // Takes the buffered frames the pipeline bound allows.
+  void TakeFrames(const std::shared_ptr<Connection>& conn);
   bool FlushConnection(const std::shared_ptr<Connection>& conn);  // false: close
   void CloseConnection(const std::shared_ptr<Connection>& conn);
 
@@ -223,13 +196,6 @@ class Server {
   // Connections are owned and mutated by the IO thread only; workers reach
   // them through shared_ptr and touch only the mutex-guarded outbox.
   std::map<int, std::shared_ptr<Connection>> conns_;
-
-  // Coalescing buffer for batchable estimates, owned by the IO thread.
-  // While non-empty the IO loop polls with timeout 0 and flushes as soon as
-  // a sweep adds nothing new, the window expires, the batch is full, or the
-  // server starts draining.
-  std::vector<PendingRequest> pending_batch_;
-  std::chrono::steady_clock::time_point batch_started_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

@@ -180,6 +180,46 @@ TEST_F(ServeServerTest, DeadlineFailPointForcesExpiry) {
   EXPECT_TRUE(r->ok());
 }
 
+TEST_F(ServeServerTest, QueueWaitCountsAgainstDeadline) {
+  // One worker, held by a 300 ms sleep: the three requests queued behind it
+  // reach the worker after their 100 ms deadlines, counted from admission,
+  // have passed. Each must expire, whatever its verb, instead of answering
+  // late.
+  ServerOptions opts;
+  opts.num_workers = 1;
+  StartServer(opts);
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+
+  uint64_t sleep_id = 0;
+  ASSERT_TRUE(client.Send("sleep 300", /*deadline_ms=*/0, &sleep_id).ok());
+  const char* queued[] = {"estimate A %*% B", "exec A %*% B", "sleep 10"};
+  std::map<uint64_t, std::string> verb_by_id;
+  for (const char* cmd : queued) {
+    uint64_t id = 0;
+    ASSERT_TRUE(client.Send(cmd, /*deadline_ms=*/100, &id).ok());
+    verb_by_id[id] = cmd;
+  }
+  for (size_t i = 0; i < std::size(queued) + 1; ++i) {
+    auto r = client.Receive(/*timeout_ms=*/10'000);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->request_id == sleep_id) {
+      EXPECT_TRUE(r->ok()) << r->status.ToString();
+      continue;
+    }
+    const auto verb = verb_by_id.find(r->request_id);
+    ASSERT_NE(verb, verb_by_id.end()) << "reply to unknown id "
+                                      << r->request_id;
+    EXPECT_EQ(r->status.code(), StatusCode::kDeadlineExceeded)
+        << verb->second << ": " << r->status.ToString() << " " << r->body;
+    EXPECT_FALSE(r->degraded) << verb->second;
+    verb_by_id.erase(verb);
+  }
+  EXPECT_TRUE(verb_by_id.empty());
+  EXPECT_EQ(server_->stats().deadline_errors,
+            static_cast<int64_t>(std::size(queued)));
+}
+
 TEST_F(ServeServerTest, DegradedServingWhenMncTierFails) {
   StartServer();
   ServeClient client;
@@ -266,6 +306,60 @@ TEST_F(ServeServerTest, BackpressurePipelinedLoadAllServed) {
   }
   EXPECT_EQ(server_->stats().busy_rejected, 0);
   EXPECT_EQ(server_->stats().replies, kRequests);
+}
+
+TEST_F(ServeServerTest, PipelineBoundHoldsWithinOneRead) {
+  // Ten requests in one write reach the server in one read; the pipeline
+  // bound must still admit only two of them while the first holds the only
+  // worker, and the rest must follow as slots free, none rejected.
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.max_pipeline = 2;
+  StartServer(opts);
+
+  const int fd = ConnectRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  constexpr uint64_t kRequests = 10;
+  std::string burst = EncodeFrame(MakeRequestFrame(1, "sleep 1000"));
+  for (uint64_t id = 2; id <= kRequests; ++id) {
+    burst += EncodeFrame(MakeRequestFrame(id, "sleep 1"));
+  }
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  // Once the first two are admitted, give the IO thread time to take more
+  // frames if it would; the first sleep still holds the worker throughout.
+  for (int i = 0; i < 500 && server_->stats().requests < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LE(server_->stats().requests, 2);
+
+  FrameReader reader;
+  char buf[4096];
+  std::vector<bool> answered(kRequests + 1, false);
+  uint64_t replies = 0;
+  while (replies < kRequests) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "reply stream ended after " << replies << " replies";
+    reader.Append(buf, static_cast<size_t>(n));
+    for (;;) {
+      auto next = reader.Next();
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next->has_value()) break;
+      EXPECT_EQ((*next)->type, FrameType::kReply)
+          << ErrorFrameStatus(**next).ToString();
+      const uint64_t id = (*next)->request_id;
+      ASSERT_TRUE(id >= 1 && id <= kRequests && !answered[id])
+          << "unexpected reply id " << id;
+      answered[id] = true;
+      ++replies;
+    }
+  }
+  ::close(fd);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.requests, static_cast<int64_t>(kRequests));
+  EXPECT_EQ(stats.busy_rejected, 0);
 }
 
 TEST_F(ServeServerTest, MalformedBytesGetTypedErrorThenClose) {
@@ -583,13 +677,11 @@ TEST_F(ServeServerTest, DrainTimeoutBoundsShutdown) {
   EXPECT_LT(elapsed, 4000);
 }
 
-TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
-  // A wide-open coalescing window plus a pipelined burst makes batching
-  // deterministic: the burst lands in the pending buffer and is dispatched
-  // through EstimateSourceBatch, not request-by-request.
+TEST_F(ServeServerTest, PipelinedEstimatesAllResolve) {
+  // A pipelined burst of estimates runs on several workers at once; every
+  // request is answered exactly once, under its own id, with the reply a
+  // lone request gets.
   ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
   opts.max_pipeline = 16;
   StartServer(opts);
   ServeClient client;
@@ -606,9 +698,8 @@ TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
   ASSERT_TRUE(memo_ba.ok() && memo_ba->ok());
 
   constexpr int kRequests = 8;
-  // Replies are matched to requests by the echoed request id: a burst the
-  // IO thread reads in two sweeps becomes two batches, and the worker pool
-  // may finish them in either order.
+  // Replies are matched to requests by the echoed request id: the worker
+  // pool may finish the burst in any order.
   std::map<uint64_t, const std::string*> want_by_id;
   for (int i = 0; i < kRequests; ++i) {
     uint64_t id = 0;
@@ -637,21 +728,15 @@ TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
   }
 
   const ServerStats stats = server_->stats();
-  EXPECT_GE(stats.batches, 1);
-  // The 4 sequential warm-up Calls also ride the batch path (as singleton
-  // batches), so the counter covers every estimate on this connection.
-  EXPECT_EQ(stats.batched_requests, kRequests + 4);
   EXPECT_EQ(stats.replies, kRequests + 4);
   EXPECT_EQ(stats.typed_errors, 0);
 }
 
-TEST_F(ServeServerTest, BatchIsolatesBadNeighbors) {
-  // One malformed expression and one unknown name inside a coalesced batch
+TEST_F(ServeServerTest, PipelinedBadRequestsDoNotPoisonNeighbors) {
+  // One malformed expression and one unknown name inside a pipelined burst
   // must produce their own typed errors without poisoning the good
-  // requests sharing the batch.
+  // requests in flight beside them.
   ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
   opts.max_pipeline = 16;
   StartServer(opts);
   ServeClient client;
@@ -679,41 +764,11 @@ TEST_F(ServeServerTest, BatchIsolatesBadNeighbors) {
   }
   EXPECT_EQ(ok, 3);
   EXPECT_EQ(bad, 2);
-  EXPECT_GE(server_->stats().batched_requests, 5);
 
-  // The batch fault touched only its own members: the session still serves.
+  // The bad requests touched only themselves: the session still serves.
   auto again = client.Call("estimate A %*% B");
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->ok());
-}
-
-TEST_F(ServeServerTest, DeadlineFailPointAppliesPerRequestInsideBatch) {
-  ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
-  opts.max_pipeline = 16;
-  StartServer(opts);
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(server_->port()).ok());
-  {
-    ScopedFailPoint fp("serve.deadline");
-    constexpr int kRequests = 4;
-    for (int i = 0; i < kRequests; ++i) {
-      ASSERT_TRUE(client.Send("estimate A %*% B").ok());
-    }
-    for (int i = 0; i < kRequests; ++i) {
-      auto r = client.Receive(/*timeout_ms=*/10'000);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      // Each coalesced request carries its own expired context and answers
-      // with its own typed error — never a late answer, never degraded.
-      EXPECT_EQ(r->status.code(), StatusCode::kDeadlineExceeded);
-      EXPECT_FALSE(r->degraded);
-    }
-    EXPECT_GE(server_->stats().deadline_errors, kRequests);
-  }
-  auto r = client.Call("estimate A %*% B");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->ok());
 }
 
 TEST_F(ServeServerTest, MaxConnectionsRejectsTypedAtAcceptTime) {
@@ -784,8 +839,9 @@ TEST_F(ServeServerTest, StatsVerbReportsServeAndPlanLines) {
   // The plan line carries the canonical second-chance counter; the serve
   // line exists only on the socket path and reports this connection.
   EXPECT_NE(r->body.find("canonical"), std::string::npos);
-  EXPECT_NE(r->body.find("serve: 1 open connections"), std::string::npos);
-  EXPECT_NE(r->body.find("mean batch size"), std::string::npos);
+  EXPECT_NE(r->body.find("serve: 1 open connections, 0 rejected"),
+            std::string::npos);
+  EXPECT_EQ(r->body.find("mean batch size"), std::string::npos);
 }
 
 TEST_F(ServeServerTest, ManyConnectionsConcurrently) {
